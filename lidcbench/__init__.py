@@ -1,0 +1,1 @@
+"""LIDC end-to-end and per-layer benchmark; see README.md."""
