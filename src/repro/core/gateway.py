@@ -112,7 +112,7 @@ class Gateway:
 
     def _on_compute(self, interest: InterestLike) -> "Data | Nack | WirePacket":
         self.metrics.counter("compute_interests").inc()
-        self.tracer.record("gateway", "compute-received", name=str(interest.name))
+        self.tracer.record("gateway", "compute-received", name=interest.name)
         try:
             request = ComputeRequest.from_name(interest.name)
         except InvalidComputeName as exc:
@@ -122,7 +122,7 @@ class Gateway:
         validation = self.services.validate(request, self.datalake)
         if not validation.ok:
             self.metrics.counter("compute_rejected_validation").inc()
-            self.tracer.record("gateway", "validation-rejected", name=str(interest.name),
+            self.tracer.record("gateway", "validation-rejected", name=interest.name,
                                reason=validation.message)
             return self._error_data(interest.name, validation.message)
 
@@ -141,14 +141,14 @@ class Gateway:
                     from_cache=True,
                 )
                 self.metrics.counter("cache_hits").inc()
-                self.tracer.record("gateway", "cache-hit", name=str(interest.name),
+                self.tracer.record("gateway", "cache-hit", name=interest.name,
                                    job_id=record.job_id)
                 return self._ack_data(interest.name, record, cached_result=str(cached.result_name))
 
         requests = Quantity(cpu=request.cpu, memory=parse_memory(f"{request.memory_gb:g}Gi"))
         if self.reject_when_busy and not self.cluster.can_fit(requests):
             self.metrics.counter("compute_rejected_capacity").inc()
-            self.tracer.record("gateway", "capacity-rejected", name=str(interest.name))
+            self.tracer.record("gateway", "capacity-rejected", name=interest.name)
             return interest.nack(NackReason.CONGESTION)
 
         record = self._admit(request)

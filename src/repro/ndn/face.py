@@ -196,6 +196,17 @@ class Face:
         return f"<{type(self).__name__} id={self.face_id} {self.label!r} {'up' if self.up else 'down'}>"
 
 
+def _deliver_later(env: Environment, delay: float, peer: Face, packet: WirePacket) -> None:
+    """Hand ``packet`` to ``peer`` after ``delay`` simulated seconds.
+
+    A timer callback rather than a process: one engine event per hop, and
+    same-instant sends still arrive in send order (the timers' FIFO
+    tie-break).  A peer that is down by then counts the drop in
+    :meth:`Face.deliver`.
+    """
+    env.timeout(delay).callbacks.append(lambda _event: peer.deliver(packet))
+
+
 class LocalFace(Face):
     """An in-node application face: delivery costs a fixed small delay."""
 
@@ -215,12 +226,7 @@ class LocalFace(Face):
         if self.delay_s <= 0:
             peer.deliver(packet)
             return
-
-        def _deliver():
-            yield self.env.timeout(self.delay_s)
-            peer.deliver(packet)
-
-        self.env.process(_deliver(), name=f"deliver:{self.label}")
+        _deliver_later(self.env, self.delay_s, peer, packet)
 
 
 class NetworkFace(Face):
@@ -239,13 +245,7 @@ class NetworkFace(Face):
     def _transmit(self, packet: WirePacket) -> None:
         peer = self.peer
         assert peer is not None
-        delay = self.link.transfer_time_packet(packet)
-
-        def _deliver():
-            yield self.env.timeout(delay)
-            peer.deliver(packet)
-
-        self.env.process(_deliver(), name=f"xmit:{self.label}")
+        _deliver_later(self.env, self.link.transfer_time_packet(packet), peer, packet)
 
 
 def connect(

@@ -94,7 +94,7 @@ class Component:
 class Name:
     """An immutable hierarchical NDN name."""
 
-    __slots__ = ("_components", "_hash")
+    __slots__ = ("_components", "_hash", "_uri")
 
     def __init__(self, value: "Union[str, Name, Iterable[Union[str, bytes, Component]], None]" = None) -> None:
         components: tuple[Component, ...]
@@ -108,6 +108,8 @@ class Name:
             components = tuple(Component(part) for part in value)
         self._components = components
         self._hash = hash(components)
+        #: Memoised :meth:`to_uri` (safe: a name never changes).
+        self._uri: "str | None" = None
 
     @staticmethod
     def _parse_uri(uri: str) -> Iterator[Component]:
@@ -173,9 +175,14 @@ class Name:
 
     def to_uri(self) -> str:
         """Canonical URI form, e.g. ``/ndn/k8s/compute``."""
-        if not self._components:
-            return "/"
-        return "/" + "/".join(comp.escaped() for comp in self._components)
+        uri = self._uri
+        if uri is None:
+            if self._components:
+                uri = "/" + "/".join(comp.escaped() for comp in self._components)
+            else:
+                uri = "/"
+            self._uri = uri
+        return uri
 
     @property
     def components(self) -> tuple[Component, ...]:

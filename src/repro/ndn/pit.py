@@ -10,7 +10,8 @@ Two hot paths avoid scanning the table:
   (nothing expired) is a single peek instead of an O(n) sweep per packet.
 * ``satisfy()``/``find_matching()`` probe the entry dict once per prefix of
   the Data name (exact key plus each ``can_be_prefix`` prefix key) instead of
-  testing every pending entry.
+  testing every pending entry, and skip the prefix probes altogether while
+  no ``can_be_prefix`` entry is pending (the common, exact-match case).
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ class PendingInterestTable:
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._entries: dict[tuple[Name, bool], PitEntry] = {}
+        #: Live entries keyed ``can_be_prefix=True``; every path that adds
+        #: or drops an entry keeps it exact (see :meth:`_drop`).
+        self.prefix_entries = 0
         #: Lazy expiry heap of (when, seq, key).  Keys may be stale (entry
         #: satisfied/removed or lifetime extended); ``expire()`` revalidates
         #: against the live entry before dropping anything.
@@ -101,6 +105,13 @@ class PendingInterestTable:
 
     def _key(self, interest: InterestLike) -> tuple[Name, bool]:
         return (interest.name, interest.can_be_prefix)
+
+    def _drop(self, key: tuple[Name, bool]) -> Optional[PitEntry]:
+        """Remove and return the entry under ``key`` (None if absent)."""
+        entry = self._entries.pop(key, None)
+        if entry is not None and key[1]:
+            self.prefix_entries -= 1
+        return entry
 
     def _push_expiry(self, key: tuple[Name, bool], when: float) -> None:
         heapq.heappush(self._expiry_heap, (when, self._heap_seq, key))
@@ -122,6 +133,8 @@ class PendingInterestTable:
         if entry is None:
             entry = PitEntry(name=interest.name, can_be_prefix=interest.can_be_prefix)
             self._entries[key] = entry
+            if interest.can_be_prefix:
+                self.prefix_entries += 1
         else:
             self.aggregated += 1
         entry.in_records[in_face_id] = InRecord(face_id=in_face_id, nonce=interest.nonce, expiry=expiry)
@@ -158,13 +171,15 @@ class PendingInterestTable:
         shortest to longest.
         """
         keys: list[tuple[Name, bool]] = []
-        exact_key = (data.name, False)
+        name = data.name
+        exact_key = (name, False)
         if exact_key in self._entries:
             keys.append(exact_key)
-        for length in range(len(data.name) + 1):
-            key = (data.name.prefix(length), True)
-            if key in self._entries:
-                keys.append(key)
+        if self.prefix_entries:
+            for length in range(len(name) + 1):
+                key = (name.prefix(length), True)
+                if key in self._entries:
+                    keys.append(key)
         return keys
 
     def find_matching(self, data: DataLike) -> list[PitEntry]:
@@ -175,7 +190,8 @@ class PendingInterestTable:
         """Consume entries matched by ``data``; returns downstream face ids."""
         faces: list[int] = []
         for key in self._matching_keys(data):
-            entry = self._entries.pop(key)
+            entry = self._drop(key)
+            assert entry is not None
             self.satisfied += 1
             for face_id in entry.downstream_faces():
                 if face_id not in faces:
@@ -186,11 +202,11 @@ class PendingInterestTable:
         return self._entries.get(self._key(interest))
 
     def remove(self, interest: InterestLike) -> None:
-        self._entries.pop(self._key(interest), None)
+        self._drop(self._key(interest))
 
     def remove_from_key(self, key: tuple[Name, bool]) -> None:
         """Drop an entry by its (name, can_be_prefix) key (cleanup paths)."""
-        self._entries.pop(key, None)
+        self._drop(key)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -214,7 +230,7 @@ class PendingInterestTable:
                 continue  # already satisfied or removed
             actual = entry.expiry()
             if actual <= now:
-                del self._entries[key]
+                self._drop(key)
                 dead.append(entry)
                 self.expired += 1
             else:

@@ -767,7 +767,7 @@ class ShardedForwarder:
             self.shards[index].register_prefix(prefix, shard_side, cost)
         self._registrations[(prefix, ext_id)] = owners
         self._registration_costs[(prefix, ext_id)] = cost
-        self.tracer.record("fib", "register", prefix=prefix, face=ext_id, shards=owners)
+        self.tracer.record("fib", "register", prefix=prefix, face=ext_id, shards=tuple(owners))
 
     def unregister_prefix(self, prefix: "Name | str", face: "Face | int") -> bool:
         ext_id = face.face_id if isinstance(face, Face) else int(face)

@@ -137,12 +137,18 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(env, name=f"timeout({delay})")
+        # A constant name: timers are created per packet hop and per retry,
+        # so formatting the delay into every one would be pure overhead.
+        super().__init__(env, name="timeout")
         self.delay = delay
         self._ok = True
         self._value = value
         self._triggered = True
         env.schedule(self, priority=PRIORITY_NORMAL, delay=delay)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "processed" if self._processed else "triggered"
+        return f"<Timeout({self.delay}) {state}>"
 
 
 class _Initialize(Event):

@@ -244,3 +244,83 @@ class TestProducerViews:
         assert hit.triggered and hit.value.content == b"content"
         # The producer answered the miss with a wire-built NACK.
         assert miss.triggered and not miss.ok
+
+
+def _steps_until(env, done=None):
+    """Step ``env`` until ``done`` is processed (or the schedule drains)."""
+    steps = 0
+    while env.queue_size and not (done is not None and done.processed):
+        env.step()
+        steps += 1
+    return steps
+
+
+class TestTimerDelivery:
+    """Delayed faces deliver from a timer callback: one engine event per hop."""
+
+    def test_same_instant_sends_arrive_in_send_order(self):
+        env = Environment()
+        receiver = WireCollector()
+        face_a, _ = connect(
+            env, WireCollector(), receiver, link=Link("a", "b", latency_s=0.01)
+        )
+        first, second = Interest(name=Name("/order/1")), Interest(name=Name("/order/2"))
+        assert len(first.encode()) == len(second.encode())  # equal transfer times
+        face_a.send(first)
+        face_a.send(second)
+        env.run()
+        assert [str(packet.name) for packet in receiver.received] == ["/order/1", "/order/2"]
+
+    def test_packet_in_flight_when_face_closes_is_dropped(self):
+        env = Environment()
+        receiver = WireCollector()
+        face_a, face_b = connect(
+            env, WireCollector(), receiver, link=Link("a", "b", latency_s=0.01)
+        )
+        face_a.send(Interest(name=Name("/inflight")))
+        face_a.close()
+        env.run()
+        assert receiver.received == []
+        assert face_b.stats.drops == 1
+        assert face_b.stats.interests_in == 0
+
+    def test_zero_delay_local_face_delivers_synchronously(self):
+        env = Environment()
+        receiver = WireCollector()
+        face_a, _ = connect(env, WireCollector(), receiver, face_cls=LocalFace)
+        face_a.send(Interest(name=Name("/sync")))
+        assert len(receiver.received) == 1
+        assert env.queue_size == 0
+
+    def test_delayed_local_face_delivers_after_its_delay(self):
+        env = Environment()
+        receiver = WireCollector()
+        face_a, face_b = LocalFace(env, WireCollector(), delay_s=0.5), LocalFace(env, receiver)
+        face_a.set_peer(face_b)
+        face_b.set_peer(face_a)
+        face_a.attach()
+        face_b.attach()
+        face_a.send(Interest(name=Name("/later")))
+        assert receiver.received == []
+        env.run()
+        assert env.now == 0.5
+        assert len(receiver.received) == 1
+
+    def test_interest_data_exchange_step_count_is_pinned(self):
+        """Consumer --Link--> Forwarder --> producer and back.
+
+        With a generator process per link delivery (init, timeout and
+        process-completion events) this took 7 steps to the Data and 11 to
+        drain; a timer callback per hop makes it 4 and 7.
+        """
+        env = Environment()
+        forwarder = Forwarder(env, "fwd", cs_capacity=0)
+        forwarder.attach_producer(
+            "/svc", lambda interest: Data(name=interest.name, content=b"x").sign()
+        )
+        consumer = Consumer(env, forwarder, link=Link("c", "f", latency_s=0.01))
+        env.run()
+        done = consumer.express_interest("/svc/item", lifetime=1.0)
+        assert _steps_until(env, done) == 4
+        assert done.ok and done.value.content == b"x"
+        assert _steps_until(env) == 3

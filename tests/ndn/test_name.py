@@ -1,5 +1,7 @@
 """Tests for NDN names and components."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -147,6 +149,18 @@ class TestNameOperations:
     def test_hashable_usable_as_dict_key(self):
         table = {Name("/a/b"): 1}
         assert table[Name("/a/b")] == 1
+
+    def test_uri_is_memoised(self):
+        name = Name(["a b", b"\xff"])
+        assert name.to_uri() == "/a%20b/%FF" == str(name)
+        assert name.to_uri() is name.to_uri()
+        assert Name().to_uri() == "/"
+
+    def test_memoised_name_pickles(self):
+        name = Name("/a/b")
+        name.to_uri()
+        clone = pickle.loads(pickle.dumps(name))
+        assert clone == name and clone.to_uri() == "/a/b"
 
 
 _component_text = st.text(

@@ -476,6 +476,70 @@ class TestPit:
         for entry in pit.entries():
             assert entry.matches_data(data) == (entry in matched)
 
+    def test_prefix_entry_count_returns_to_zero(self):
+        """Every removal path (satisfy, remove, remove_from_key, expire)
+        keeps the live CanBePrefix count exact."""
+        clock = {"now": 0.0}
+        pit = PendingInterestTable(clock=lambda: clock["now"])
+
+        def insert(uri, prefix, lifetime=4.0):
+            interest = Interest(name=Name(uri), can_be_prefix=prefix, lifetime=lifetime)
+            pit.insert(interest, in_face_id=1)
+            return interest
+
+        insert("/a", True)
+        insert("/a", True)  # aggregated: still one entry
+        insert("/a/b", False)
+        removed = insert("/r", True)
+        insert("/k", True)
+        insert("/x", True, lifetime=1.0)
+        insert("/x/y", False, lifetime=1.0)
+        assert pit.prefix_entries == 4
+        assert sorted(pit.satisfy(make_data("/a/b"))) == [1]  # /a prefix + /a/b exact
+        assert pit.prefix_entries == 3
+        pit.remove(removed)
+        pit.remove(removed)  # already gone: no double count
+        pit.remove_from_key((Name("/k"), True))
+        assert pit.prefix_entries == 1
+        clock["now"] = 2.0
+        assert {str(entry.name) for entry in pit.expire()} == {"/x", "/x/y"}
+        assert pit.prefix_entries == 0
+        assert len(pit) == 0
+
+    def test_exact_only_table_skips_prefix_probes(self, monkeypatch):
+        pit = PendingInterestTable()
+        pit.insert(Interest(name=Name("/a/b/c")), in_face_id=1)
+        calls = []
+        original = Name.prefix
+        monkeypatch.setattr(Name, "prefix", lambda self, n: calls.append(n) or original(self, n))
+        assert pit.satisfy(make_data("/a/b/c")) == [1]
+        assert calls == []
+        pit.insert(Interest(name=Name("/a"), can_be_prefix=True), in_face_id=2)
+        assert pit.satisfy(make_data("/a/b/c")) == [2]
+        assert calls == [0, 1, 2, 3]
+
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["insert", "satisfy", "remove", "remove_key", "expire"]),
+                  st.sampled_from(["/", "/a", "/a/b", "/c"]), st.booleans()),
+        max_size=40,
+    ))
+    def test_prefix_entry_count_matches_live_entries(self, ops):
+        clock = {"now": 0.0}
+        pit = PendingInterestTable(clock=lambda: clock["now"])
+        for kind, uri, prefix in ops:
+            clock["now"] += 0.5
+            if kind == "insert":
+                pit.insert(Interest(name=Name(uri), can_be_prefix=prefix, lifetime=1.0), 1)
+            elif kind == "satisfy":
+                pit.satisfy(make_data(uri))
+            elif kind == "remove":
+                pit.remove(Interest(name=Name(uri), can_be_prefix=prefix))
+            elif kind == "remove_key":
+                pit.remove_from_key((Name(uri), prefix))
+            else:
+                pit.expire()
+            assert pit.prefix_entries == sum(e.can_be_prefix for e in pit.entries())
+
 
 class TestNameTreeAndFib:
     def test_exact_and_lpm(self):

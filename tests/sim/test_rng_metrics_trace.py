@@ -1,11 +1,15 @@
 """Tests for the seeded RNG, metrics registry and tracer."""
 
+import enum
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_histograms
 from repro.sim.rng import SeededRNG
-from repro.sim.trace import TraceEvent, Tracer
+from repro.ndn.name import Name
+from repro.sim.trace import DEFAULT_CAPACITY, TraceEvent, Tracer
 
 
 class TestSeededRNG:
@@ -261,6 +265,82 @@ class TestTracer:
         tracer.record("a", "x")
         tracer.record("b", "x")
         assert tracer.categories() == {"a", "b"}
+
+
+class _Colour(enum.Enum):
+    RED = "red"
+
+
+class TestTracerRing:
+    """The bounded ring and format-on-read behaviour of :class:`Tracer`."""
+
+    def test_default_capacity(self):
+        assert Tracer().capacity == DEFAULT_CAPACITY == 4096
+
+    def test_ring_keeps_the_latest_capacity_records(self):
+        tracer = Tracer(capacity=4096)
+        for i in range(100_000):
+            tracer.record("cat", "ev", i=i)
+        assert len(tracer) == 4096
+        assert tracer.recorded == 100_000
+        assert tracer.dropped == 100_000 - 4096
+        events = tracer.events
+        assert events[0].attrs == {"i": 100_000 - 4096}
+        assert events[-1].attrs == {"i": 99_999}
+
+    def test_memory_stays_flat_once_the_ring_is_full(self):
+        tracer = Tracer(capacity=4096)
+        name = Name("/ndn/k8s/compute/app=BLAST")
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for i in range(4096):
+                tracer.record("interest", "in", name=name, face=i)
+            full, _ = tracemalloc.get_traced_memory()
+            for i in range(50_000):
+                tracer.record("interest", "in", name=name, face=i)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tracer.dropped == 50_000
+        # Filling the ring costs its records; twelve times as many more
+        # records on top must cost (almost) nothing.
+        assert after - full < 0.05 * (full - start)
+
+    def test_unbounded_tracer_keeps_everything(self):
+        tracer = Tracer(capacity=None)
+        for i in range(10_000):
+            tracer.record("cat", "ev", i=i)
+        assert len(tracer) == tracer.recorded == 10_000
+        assert tracer.dropped == 0
+
+    def test_rich_attrs_read_back_as_eagerly_formatted_strings(self):
+        tracer = Tracer()
+        name = Name(["ndn", "k8s", "compute", "app=BLAST&cpu=2", b"\xff sp"])
+        tracer.record("c", "e", name=name, colour=_Colour.RED, shards=(0, 1),
+                      face=3, ratio=0.5, label="x", flag=True, nothing=None)
+        expected = {
+            "name": "/ndn/k8s/compute/app=BLAST&cpu=2/%FF%20sp",
+            "colour": "_Colour.RED",
+            "shards": "(0, 1)",
+            "face": 3, "ratio": 0.5, "label": "x", "flag": True, "nothing": None,
+        }
+        assert tracer.events[0].attrs == expected
+        assert tracer.filter(category="c")[0].attrs == expected
+        assert {k: v for k, v in tracer.to_dicts()[0].items()
+                if k not in ("time", "category", "event")} == expected
+
+    def test_clear_resets_counters(self):
+        tracer = Tracer(capacity=2)
+        for _ in range(5):
+            tracer.record("a", "x")
+        tracer.clear()
+        assert (len(tracer), tracer.recorded, tracer.dropped) == (0, 0, 0)
+
+    def test_disabled_tracer_counts_nothing(self):
+        tracer = Tracer(enabled=False)
+        tracer.record("a", "x")
+        assert tracer.recorded == 0
 
 
 class TestRNGProperties:
